@@ -117,9 +117,8 @@ class ClusterSpec:
     grouped into *regions* of at most ``region_size`` partitions.
     Within a region the kernel services keep the flat full-mesh
     federation; across regions only each region's elected *aggregator*
-    partition exchanges digested state.  ``None`` (the default) keeps
-    the original flat all-pairs federation, byte-identical to before
-    the knob existed.
+    partition exchanges digested state.  ``None`` (the default) is one
+    region holding every partition: the flat all-pairs federation.
     """
 
     partitions: tuple[PartitionSpec, ...]

@@ -36,7 +36,7 @@ def spec_for(nodes: int, region_size: int | None = None) -> ClusterSpec:
     """Regular 16-nodes-per-partition spec for a node count.
 
     ``region_size`` (partitions per region) switches the federation to
-    the two-tier topology (DESIGN.md §16) — None keeps the flat mesh."""
+    regions (DESIGN.md §16) — None is one region, the flat mesh."""
     if nodes % NODES_PER_PARTITION:
         raise ValueError(f"nodes must be a multiple of {NODES_PER_PARTITION}")
     return ClusterSpec.build(
@@ -98,7 +98,6 @@ def run_point(
     published0 = sim.trace.counter("es.published")
     batches0 = sim.trace.counter("es.forward_batches")
     batched0 = sim.trace.counter("es.forward_batched_events")
-    intra0 = sim.trace.counter("es.forward_batches_intra")
     cross0 = sim.trace.counter("es.forward_batches_cross")
     client = kernel.client(access_node)
     for i in range(STORM_EVENTS):
@@ -107,8 +106,8 @@ def run_point(
     storm_published = sim.trace.counter("es.published") - published0
     forward_batches = sim.trace.counter("es.forward_batches") - batches0
     forwarded_events = sim.trace.counter("es.forward_batched_events") - batched0
-    storm_intra = sim.trace.counter("es.forward_batches_intra") - intra0
     storm_cross = sim.trace.counter("es.forward_batches_cross") - cross0
+    storm_intra = forward_batches - storm_cross
 
     # All-pairs storm (opt-in): one publish from *every* partition at
     # once — the cost profile the two-tier topology exists to change.
@@ -118,16 +117,16 @@ def run_point(
     allpairs = None
     if allpairs_storm:
         ap0 = sim.trace.counter("es.forward_batches")
-        api0 = sim.trace.counter("es.forward_batches_intra")
         apc0 = sim.trace.counter("es.forward_batches_cross")
         for part in cluster.spec.partitions:
             kernel.client(part.server).publish("config.changed", {"src": part.partition_id})
         sim.run(until=sim.now + 5.0)
         ap_batches = sim.trace.counter("es.forward_batches") - ap0
+        ap_cross = sim.trace.counter("es.forward_batches_cross") - apc0
         allpairs = {
             "batches": ap_batches,
-            "intra": sim.trace.counter("es.forward_batches_intra") - api0,
-            "cross": sim.trace.counter("es.forward_batches_cross") - apc0,
+            "intra": ap_batches - ap_cross,
+            "cross": ap_cross,
             "per_partition": ap_batches / len(cluster.partitions),
         }
 
@@ -136,7 +135,7 @@ def run_point(
         "nodes": nodes,
         "partitions": partitions,
         "region_size": region_size,
-        "regions": len(cluster.spec.regions()) if region_size is not None else 1,
+        "regions": len(cluster.spec.regions()),
         # Per-partition federation datagram counts for the storm window:
         # flat mode is O(P) per partition (every publisher batches to
         # every peer), two-tier is O(R + P/R).  The fig6 bench guards

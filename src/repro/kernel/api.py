@@ -78,18 +78,17 @@ class PhoenixKernel:
         #: Monotone bulletin incarnation counters per partition, stamped
         #: into delta/read watermarks for failover fencing.
         self._db_epochs: dict[str, int] = {}
-        #: Two-tier federation bookkeeping (DESIGN.md §16): region index
-        #: -> aggregator partition id, recomputed (epoch-fenced) from
-        #: every installed meta-group view.  Empty in flat mode.
-        self._region_partitions: tuple[tuple[str, ...], ...] = ()
-        self._region_index: dict[str, int] = {}
+        #: Federation topology (DESIGN.md §16): partition ids grouped into
+        #: regions, in configured order.  A flat cluster is one region.
+        self.regions: tuple[tuple[str, ...], ...] = cluster.spec.regions()
+        self._region_index: dict[str, int] = {
+            pid: idx for idx, pids in enumerate(self.regions) for pid in pids
+        }
+        #: Region index -> aggregator partition id, recomputed
+        #: (epoch-fenced) from every installed meta-group view.  Empty
+        #: while there is only one region: nobody needs an aggregator.
         self.region_aggregators: dict[int, str] = {}
         self._aggregator_epoch = 0
-        if cluster.spec.region_size is not None:
-            self._region_partitions = cluster.spec.regions()
-            for idx, pids in enumerate(self._region_partitions):
-                for pid in pids:
-                    self._region_index[pid] = idx
         self.booted = False
         self._register_default_factories()
 
@@ -207,37 +206,37 @@ class PhoenixKernel:
             )
         return True
 
-    # -- two-tier federation topology (DESIGN.md §16) -----------------------
-    @property
-    def regions_enabled(self) -> bool:
-        """True when the spec groups partitions into more than one region."""
-        return len(self._region_partitions) > 1
-
+    # -- federation topology (DESIGN.md §16) --------------------------------
     def region_of(self, partition_id: str) -> int:
-        """Region index of a partition (0 in flat mode)."""
+        """Region index of a partition (0 for an unknown id)."""
         return self._region_index.get(partition_id, 0)
 
     def region_partitions(self, partition_id: str) -> tuple[str, ...]:
         """Configured partition ids of ``partition_id``'s region."""
-        if not self._region_partitions:
-            return tuple(p.partition_id for p in self.cluster.partitions)
-        return self._region_partitions[self.region_of(partition_id)]
+        return self.regions[self._region_index[partition_id]]
 
     def is_aggregator(self, partition_id: str) -> bool:
         """Is this partition its region's currently elected aggregator?"""
-        if not self.regions_enabled:
-            return False
-        return self.region_aggregators.get(self.region_of(partition_id)) == partition_id
+        return self.region_aggregators.get(self._region_index[partition_id]) == partition_id
 
     def remote_aggregators(self, partition_id: str) -> list[str]:
         """Aggregator partition of every *other* region, in region order."""
-        if not self.regions_enabled:
-            return []
-        own = self.region_of(partition_id)
-        return [
-            agg for idx, agg in sorted(self.region_aggregators.items())
-            if idx != own
-        ]
+        own = self._region_index[partition_id]
+        return [agg for idx, agg in sorted(self.region_aggregators.items()) if idx != own]
+
+    def federation_peers(self, partition_id: str, remote: bool = True) -> list[str]:
+        """Who ``partition_id`` talks to, in configured partition order:
+        every other partition of its region plus, with ``remote``, every
+        other region's aggregator.  In a flat cluster (one region) that
+        is every other partition.  Callers skip peers not yet placed."""
+        own = self._region_index[partition_id]
+        peers: list[str] = []
+        for idx, pids in enumerate(self.regions):
+            if idx == own:
+                peers.extend(pid for pid in pids if pid != partition_id)
+            elif remote and idx in self.region_aggregators:
+                peers.append(self.region_aggregators[idx])
+        return peers
 
     def note_view(self, view) -> None:
         """Recompute region aggregators from an installed meta-group view.
@@ -247,15 +246,16 @@ class PhoenixKernel:
         first configured partition, so a fully evicted region keeps a
         stable target for retries until it rejoins).  Updates are fenced
         by the view epoch — a stale view from a healed minority cannot
-        roll the aggregator map backwards.
+        roll the aggregator map backwards.  A single region elects no
+        aggregator: there is no other region to talk to.
         """
-        if not self.regions_enabled or view is None:
+        if view is None or len(self.regions) < 2:
             return
         if view.epoch < self._aggregator_epoch:
             return
         self._aggregator_epoch = view.epoch
         present = {pid for pid, _ in view.members}
-        for idx, pids in enumerate(self._region_partitions):
+        for idx, pids in enumerate(self.regions):
             agg = next((pid for pid in pids if pid in present), pids[0])
             if self.region_aggregators.get(idx) != agg:
                 self.region_aggregators[idx] = agg

@@ -5,11 +5,13 @@ cluster-wide physical resource and application state; it provides
 interfaces for non-persistent data storage and data query" (paper §4.2).
 
 One instance per partition holds that partition's detector exports.  The
-instances form a federation shaped like a complete graph (Figure 5): a
-**global** query sent to *any* instance fans out to every peer, merges
-the rows, and reports which partitions could not answer — so users see a
-single access point, and one failed instance only hides one partition's
-state until the GSD restarts it.
+instances form a federation (Figure 5): a **global** query sent to *any*
+instance fans out to its federation peers, merges the rows, and reports
+which partitions could not answer — so users see a single access point,
+and one failed instance only hides one partition's state until the GSD
+restarts it.  The peers are the instance's region plus one aggregator per
+other region (DESIGN.md §16); a flat cluster is one region, so there the
+federation is the paper's complete graph.
 
 On top of the key-value board sits a small relational layer
 (:mod:`repro.kernel.bulletin.query`): typed AST queries over logical
@@ -54,6 +56,15 @@ EXPIRING_TABLES = {
     TABLE_NET_STATE: 4.0,
     TABLE_APPS: 12.0,
 }
+
+
+def _row_order(row: dict[str, Any]) -> tuple[str, str]:
+    return (row.get("_partition", ""), row.get("_key", ""))
+
+
+def _execute(q: "rel.Query", rows_by_table: dict[str, list[dict[str, Any]]]):
+    """Run ``q`` over base-table rows gathered from many partitions."""
+    return rel.execute_on(q, lambda table: sorted(rows_by_table.get(table, []), key=_row_order))
 
 
 class BulletinDaemon(ServiceDaemon):
@@ -140,7 +151,7 @@ class BulletinDaemon(ServiceDaemon):
         }
         if row is not None:
             delta["row"] = row
-        es_node = self.kernel.es_locations().get(self.partition_id)
+        es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is not None:
             # Plain send: the feed is lossy by design — a dropped delta
             # shows up as a seq gap at the owner, which rescans the slice.
@@ -266,113 +277,96 @@ class BulletinDaemon(ServiceDaemon):
                     "watermark": watermark,
                 }
             return {"rows": local_rows, "partitions_missing": [], "watermark": watermark}
-        # Global scope: fan out to peers asynchronously, then answer the RPC
-        # ourselves (the handler returns None so the transport does not
-        # auto-reply).  Region scope (two-tier federation only) is the
-        # same flow restricted to this instance's region mesh — remote
-        # aggregators answer it on a global query's behalf.
+        # Global scope: fan out to the federation peers asynchronously,
+        # then answer the RPC ourselves (the handler returns None so the
+        # transport does not auto-reply).  Region scope is the same flow
+        # restricted to this instance's region mesh — another region's
+        # aggregator answers it on a global query's behalf.
         span = self.sim.trace.span(
             "db.query", parent=msg.payload.get("_span", ""), node=self.node_id, table=table
         )
-        if scope == "region":
-            peers = self._region_query_peers()
-        else:
-            peers = self._federation_query_peers()
         self.spawn(
-            self._global_query(msg, table, where, aggregate, local_rows, span, peers),
+            self._global_query(msg, table, where, aggregate, local_rows, span,
+                               remote=scope != "region"),
             name=f"{self.node_id}/db.fanout",
         )
         return None
 
-    def _region_query_peers(self) -> dict[str, tuple[str, str]]:
-        """Own region's placed peers, each probed with local scope."""
-        locations = self.kernel.db_locations()
-        return {
-            pid: (locations[pid], "local")
-            for pid in self.kernel.region_partitions(self.partition_id)
-            if pid != self.partition_id and pid in locations
-        }
+    def _scatter_gather(self, requests: list[dict[str, Any]], span, remote: bool = True):
+        """The federation fan-out behind both DB_QUERY and DB_EXEC.
 
-    def _federation_query_peers(self) -> dict[str, tuple[str, str]]:
-        """Fan-out set for a global query: ``part_id -> (node, scope)``.
-
-        Flat federation: every placed peer, local scope.  Two-tier: own
-        region's mesh (local scope) plus one region-scope probe per
-        remote aggregator — O(R + P/R) requests instead of O(P)."""
-        locations = self.kernel.db_locations()
-        if not self.kernel.regions_enabled:
-            return {
-                part_id: (node, "local")
-                for part_id, node in locations.items()
-                if part_id != self.partition_id
-            }
-        peers = self._region_query_peers()
-        for pid in self.kernel.remote_aggregators(self.partition_id):
-            if pid in locations:
-                peers[pid] = (locations[pid], "region")
-        return peers
-
-    def _peer_covers(self, part_id: str, peer_scope: str) -> list[str]:
-        """Partitions hidden when the probe to ``part_id`` goes unanswered."""
-        if peer_scope == "region":
-            return list(self.kernel.region_partitions(part_id))
-        return [part_id]
-
-    def _global_query(self, msg: Message, table: str, where, aggregate, local_rows, span, peers):
-        request = {"table": table, "where": where, "scope": "local"}
-        if aggregate:
-            request["aggregate"] = aggregate
-        # Local-scope peer queries are idempotent: retry within the same
-        # budget so one lost datagram does not hide a partition's rows.
-        signals = {
-            part_id: self.rpc_retry(
-                node, ports.DB, ports.DB_QUERY,
-                dict(request) if peer_scope == "local" else dict(request, scope="region"),
-                span=span, call_class="bulletin.fanout",
-            )
-            for part_id, (node, peer_scope) in peers.items()
-        }
-        rows = list(local_rows)
-        partials = [aggregate_rows(local_rows, aggregate)] if aggregate else []
-        row_count = len(local_rows)
-        missing: list[str] = []
-        #: Per-partition incarnation numbers: a console comparing two
-        #: replies can tell whether a bulletin failed over between them
-        #: (the torn-read guard in GridView).
+        Sends each local-scope ``DB_QUERY`` payload in ``requests`` to
+        every placed federation peer — as a region-scope probe to another
+        region's aggregator, which answers for its whole region — and
+        gathers the replies.  Returns ``(replies, missing, watermarks)``:
+        ``(request index, reply)`` per answer in send order, the
+        partitions no answer covered, and every answering partition's
+        bulletin incarnation (a console comparing two replies can tell
+        whether a bulletin failed over between them — the torn-read guard
+        in GridView)."""
+        kernel = self.kernel
+        own = kernel.region_of(self.partition_id)
+        locations = kernel.db_locations()
+        sent = []
+        for part_id in kernel.federation_peers(self.partition_id, remote=remote):
+            node = locations.get(part_id)
+            if node is None:
+                continue
+            cross = kernel.region_of(part_id) != own
+            for idx, request in enumerate(requests):
+                # Peer queries are idempotent: retry within the same budget
+                # so one lost datagram does not hide a partition's rows.
+                sent.append((part_id, cross, idx, self.rpc_retry(
+                    node, ports.DB, ports.DB_QUERY,
+                    dict(request, scope="region") if cross else dict(request),
+                    span=span, call_class="bulletin.fanout",
+                )))
+        replies: list[tuple[int, dict[str, Any]]] = []
+        missing: set[str] = set()
         watermarks: dict[str, int] = {self.partition_id: self.epoch}
-        for part_id, signal in signals.items():
+        for part_id, cross, idx, signal in sent:
             reply = yield signal
             if reply is None:
-                missing.extend(self._peer_covers(part_id, peers[part_id][1]))
+                missing.update(kernel.region_partitions(part_id) if cross else (part_id,))
                 continue
             wm = reply.get("watermark")
             if wm is not None:
                 watermarks[part_id] = int(wm["epoch"])
             for pid, epoch in (reply.get("watermarks") or {}).items():
                 watermarks[pid] = int(epoch)
-            missing.extend(reply.get("partitions_missing", ()))
-            if aggregate:
-                partials.append(reply.get("aggregate", {}))
-                row_count += int(reply.get("row_count", 0))
-            else:
-                rows.extend(reply.get("rows", []))
-        if msg.rpc_id:
-            if aggregate:
-                payload = {
-                    "aggregate": merge_aggregates(partials),
-                    "row_count": row_count,
-                    "partitions_missing": sorted(missing),
-                    "watermarks": watermarks,
-                }
-            else:
-                rows.sort(key=lambda r: (r.get("_partition", ""), r.get("_key", "")))
-                payload = {
-                    "rows": rows,
-                    "partitions_missing": sorted(missing),
-                    "watermarks": watermarks,
-                }
-            self.send(msg.src_node, f"_rpc.{msg.rpc_id}", f"{ports.DB_QUERY}.reply", payload)
-        span.end(rows=row_count if aggregate else len(rows), missing=len(missing))
+            missing.update(reply.get("partitions_missing", ()))
+            replies.append((idx, reply))
+        return replies, missing, watermarks
+
+    def _global_query(self, msg: Message, table: str, where, aggregate, local_rows, span,
+                      remote: bool):
+        request = {"table": table, "where": where, "scope": "local"}
+        if aggregate:
+            request["aggregate"] = aggregate
+        replies, missing, watermarks = yield from self._scatter_gather([request], span, remote)
+        if aggregate:
+            partials = [aggregate_rows(local_rows, aggregate)]
+            partials.extend(reply.get("aggregate", {}) for _, reply in replies)
+            count = len(local_rows) + sum(int(reply.get("row_count", 0)) for _, reply in replies)
+            payload = {
+                "aggregate": merge_aggregates(partials),
+                "row_count": count,
+                "partitions_missing": sorted(missing),
+                "watermarks": watermarks,
+            }
+        else:
+            merged = list(local_rows)
+            for _, reply in replies:
+                merged.extend(reply.get("rows", []))
+            merged.sort(key=_row_order)
+            count = len(merged)
+            payload = {
+                "rows": merged,
+                "partitions_missing": sorted(missing),
+                "watermarks": watermarks,
+            }
+        self.reply(msg, payload)
+        span.end(rows=count, missing=len(missing))
 
     # -- relational queries (DB_EXEC) --------------------------------------
     def _on_exec(self, msg: Message) -> dict[str, Any] | None:
@@ -399,39 +393,12 @@ class BulletinDaemon(ServiceDaemon):
         rows_by_table: dict[str, list[dict[str, Any]]] = {
             table: self.store.query(table) for table in tables
         }
-        peers = self._federation_query_peers()
-        signals = {
-            (part_id, table): self.rpc_retry(
-                node, ports.DB, ports.DB_QUERY,
-                {"table": table, "scope": "local"} if peer_scope == "local"
-                else {"table": table, "scope": "region"},
-                span=span, call_class="bulletin.fanout",
-            )
-            for part_id, (node, peer_scope) in sorted(peers.items())
-            for table in tables
-        }
-        missing: set[str] = set()
-        watermarks: dict[str, int] = {self.partition_id: self.epoch}
-        for (part_id, table), signal in signals.items():
-            reply = yield signal
-            if reply is None:
-                missing.update(self._peer_covers(part_id, peers[part_id][1]))
-                continue
-            rows_by_table[table].extend(reply.get("rows", []))
-            wm = reply.get("watermark")
-            if wm is not None:
-                watermarks[part_id] = int(wm["epoch"])
-            for pid, epoch in (reply.get("watermarks") or {}).items():
-                watermarks[pid] = int(epoch)
-            missing.update(reply.get("partitions_missing", ()))
-
-        def get_rows(table: str) -> list[dict[str, Any]]:
-            return sorted(
-                rows_by_table.get(table, []),
-                key=lambda r: (r.get("_partition", ""), r.get("_key", "")),
-            )
-
-        result = rel.execute_on(q, get_rows)
+        replies, missing, watermarks = yield from self._scatter_gather(
+            [{"table": table, "scope": "local"} for table in tables], span
+        )
+        for idx, reply in replies:
+            rows_by_table[tables[idx]].extend(reply.get("rows", []))
+        result = _execute(q, rows_by_table)
         self.reply(msg, {
             "rows": result,
             "partitions_missing": sorted(missing),
@@ -443,66 +410,12 @@ class BulletinDaemon(ServiceDaemon):
         """Time-travel: answer from checkpointed base tables instead of
         live stores — "what did the cluster look like at t" (§time-travel
         in DESIGN.md §14).  Requires view maintenance to have been on
-        around ``t`` (that is what checkpoints the base tables).
-
-        Flat federation pulls every partition's checkpoint directory;
-        two-tier pulls its own region's directly and asks each remote
-        aggregator for a ``DB_ASOF`` directory summary of its region."""
-        if self.kernel.regions_enabled:
-            partitions = sorted(self.kernel.region_partitions(self.partition_id))
-        else:
-            partitions = sorted(p.partition_id for p in self.kernel.cluster.partitions)
-        signals = {}
-        for part_id in partitions:
-            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
-            if ckpt_node is None:
-                continue
-            signals[part_id] = self.rpc_retry(
-                ckpt_node, ports.CKPT, ports.CKPT_LOAD,
-                {"key": f"db.tables.{part_id}", "at_time": q.as_of},
-                span=span, call_class="ckpt.pull",
-            )
-        missing = [p for p in partitions if p not in signals]
-        agg_signals = {}
-        if self.kernel.regions_enabled:
-            locations = self.kernel.db_locations()
-            for agg in self.kernel.remote_aggregators(self.partition_id):
-                node = locations.get(agg)
-                if node is None:
-                    missing.extend(self.kernel.region_partitions(agg))
-                    continue
-                agg_signals[agg] = self.rpc_retry(
-                    node, ports.DB, ports.DB_ASOF, {"as_of": q.as_of},
-                    span=span, call_class="bulletin.fanout",
-                )
-        rows_by_table: dict[str, list[dict[str, Any]]] = {}
-        versions: dict[str, dict[str, Any]] = {}
-        for part_id, signal in signals.items():
-            reply = yield signal
-            if reply is None or not reply.get("found"):
-                missing.append(part_id)
-                continue
-            data = reply.get("data") or {}
-            versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
-            for table, rows in (data.get("tables") or {}).items():
-                rows_by_table.setdefault(table, []).extend(rows.values())
-        for agg, signal in agg_signals.items():
-            reply = yield signal
-            if reply is None:
-                missing.extend(self.kernel.region_partitions(agg))
-                continue
-            missing.extend(reply.get("partitions_missing", ()))
-            versions.update(reply.get("versions") or {})
-            for table, rows in (reply.get("tables") or {}).items():
-                rows_by_table.setdefault(table, []).extend(rows)
-
-        def get_rows(table: str) -> list[dict[str, Any]]:
-            return sorted(
-                rows_by_table.get(table, []),
-                key=lambda r: (r.get("_partition", ""), r.get("_key", "")),
-            )
-
-        result = rel.execute_on(q, get_rows)
+        around ``t`` (that is what checkpoints the base tables).  Other
+        regions answer through their aggregators' ``DB_ASOF`` summaries."""
+        rows_by_table, versions, missing = yield from self._pull_as_of(
+            q.as_of, self.kernel.remote_aggregators(self.partition_id), span
+        )
+        result = _execute(q, rows_by_table)
         self.reply(msg, {
             "rows": result,
             "partitions_missing": sorted(missing),
@@ -512,31 +425,52 @@ class BulletinDaemon(ServiceDaemon):
         span.end(rows=len(result), missing=len(missing), as_of=q.as_of)
 
     def _on_asof(self, msg: Message) -> None:
-        """Aggregator-side AS OF summary (two-tier federation): pull this
-        region's checkpointed base-table directories at ``as_of`` and ship
-        the merged rows, so a remote querier needs one RPC per region
-        instead of one checkpoint pull per partition."""
+        """Aggregator-side AS OF summary: pull this region's checkpointed
+        base-table directories at ``as_of`` and ship the merged rows, so a
+        remote querier needs one RPC per region instead of one checkpoint
+        pull per partition."""
         self.sim.trace.count("db.asof_summaries")
         self.spawn(self._asof_flow(msg), name=f"{self.node_id}/db.asof")
         return None
 
     def _asof_flow(self, msg: Message):
-        as_of = msg.payload.get("as_of")
-        region = sorted(self.kernel.region_partitions(self.partition_id))
-        signals = {}
+        tables, versions, missing = yield from self._pull_as_of(msg.payload.get("as_of"))
+        self.reply(msg, {
+            "tables": tables,
+            "versions": versions,
+            "partitions_missing": sorted(missing),
+        })
+
+    def _pull_as_of(self, as_of, aggregators=(), span=None):
+        """The checkpoint pull behind ``AS OF``: this region's base-table
+        checkpoints at ``as_of`` (one pull per partition), plus the
+        ``DB_ASOF`` summary of each other region whose aggregator is in
+        ``aggregators``.  Returns ``(rows by table, versions, missing)``."""
+        kernel = self.kernel
+        region = kernel.region_partitions(self.partition_id)
+        pulls = {}
         for part_id in region:
-            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
-            if ckpt_node is None:
+            ckpt_node = kernel.placement.get(("ckpt", part_id))
+            if ckpt_node is not None:
+                pulls[part_id] = self.rpc_retry(
+                    ckpt_node, ports.CKPT, ports.CKPT_LOAD,
+                    {"key": f"db.tables.{part_id}", "at_time": as_of},
+                    span=span, call_class="ckpt.pull",
+                )
+        missing = [p for p in region if p not in pulls]
+        summaries = {}
+        for agg in aggregators:
+            node = kernel.placement.get(("db", agg))
+            if node is None:
+                missing.extend(kernel.region_partitions(agg))
                 continue
-            signals[part_id] = self.rpc_retry(
-                ckpt_node, ports.CKPT, ports.CKPT_LOAD,
-                {"key": f"db.tables.{part_id}", "at_time": as_of},
-                call_class="ckpt.pull",
+            summaries[agg] = self.rpc_retry(
+                node, ports.DB, ports.DB_ASOF, {"as_of": as_of},
+                span=span, call_class="bulletin.fanout",
             )
-        missing = [p for p in region if p not in signals]
         tables: dict[str, list[dict[str, Any]]] = {}
         versions: dict[str, dict[str, Any]] = {}
-        for part_id, signal in signals.items():
+        for part_id, signal in pulls.items():
             reply = yield signal
             if reply is None or not reply.get("found"):
                 missing.append(part_id)
@@ -545,11 +479,16 @@ class BulletinDaemon(ServiceDaemon):
             versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
             for table, rows in (data.get("tables") or {}).items():
                 tables.setdefault(table, []).extend(rows.values())
-        self.reply(msg, {
-            "tables": tables,
-            "versions": versions,
-            "partitions_missing": sorted(missing),
-        })
+        for agg, signal in summaries.items():
+            reply = yield signal
+            if reply is None:
+                missing.extend(kernel.region_partitions(agg))
+                continue
+            missing.extend(reply.get("partitions_missing", ()))
+            versions.update(reply.get("versions") or {})
+            for table, rows in (reply.get("tables") or {}).items():
+                tables.setdefault(table, []).extend(rows)
+        return tables, versions, missing
 
     # -- materialized views -------------------------------------------------
     def _on_view_register(self, msg: Message) -> dict[str, Any] | None:
@@ -595,15 +534,12 @@ class BulletinDaemon(ServiceDaemon):
         ``table`` so the SubscriptionIndex can hash-prune the feed when
         ``table`` is in ``es_indexed_where_keys``.  Re-subscribing with
         the same consumer id replaces in place."""
-        es_node = self.kernel.es_locations().get(self.partition_id)
+        es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is None:
             return
-        # Two-tier mode: cross-region delta runs arrive coalesced as
-        # db.delta_digest events; flat mode keeps the historical
-        # single-type subscription so its checkpoints stay byte-identical.
-        types = [DB_DELTA]
-        if self.kernel.regions_enabled:
-            types.append(DB_DELTA_DIGEST)
+        # Digests carry cross-region delta runs and epoch announcements
+        # (see _announce_epoch).
+        types = [DB_DELTA, DB_DELTA_DIGEST]
         for table in sorted(tables):
             yield self.rpc_retry(
                 es_node, ports.ES, ports.ES_SUBSCRIBE,
@@ -617,45 +553,35 @@ class BulletinDaemon(ServiceDaemon):
                 },
             )
 
-    def _maint_targets(self) -> dict[str, tuple[str, bool]]:
-        """``part_id -> (node, relay)`` for a maintenance broadcast.
-
-        Flat federation: every placed peer.  Two-tier: own region's mesh
-        plus remote aggregators, the latter flagged to re-relay into
-        their region so config still reaches everyone in O(R + P/R)."""
-        locations = self.kernel.db_locations()
-        if not self.kernel.regions_enabled:
-            return {
-                part_id: (node, False)
-                for part_id, node in locations.items()
-                if part_id != self.partition_id
-            }
-        targets = {
-            pid: (locations[pid], False)
-            for pid in self.kernel.region_partitions(self.partition_id)
-            if pid != self.partition_id and pid in locations
-        }
-        for pid in self.kernel.remote_aggregators(self.partition_id):
-            if pid in locations:
-                targets[pid] = (locations[pid], True)
-        return targets
+    def _maint_targets(self) -> list[tuple[str, bool]]:
+        """``(node, relay)`` per placed federation peer for a maintenance
+        broadcast; another region's aggregator is flagged to re-relay
+        into its region, so config reaches everyone in O(R + P/R)."""
+        kernel = self.kernel
+        own = kernel.region_of(self.partition_id)
+        locations = kernel.db_locations()
+        return [
+            (locations[pid], kernel.region_of(pid) != own)
+            for pid in kernel.federation_peers(self.partition_id)
+            if pid in locations
+        ]
 
     def _broadcast_maint(self):
         payload = self._maint_payload()
-        signals = {
-            part_id: self.rpc_retry(
+        signals = [
+            self.rpc_retry(
                 node, ports.DB, ports.DB_MAINT,
                 dict(payload, relay=True) if relay else dict(payload),
                 call_class="bulletin.fanout",
             )
-            for part_id, (node, relay) in sorted(self._maint_targets().items())
-        }
-        for signal in signals.values():
+            for node, relay in self._maint_targets()
+        ]
+        for signal in signals:
             yield signal  # best-effort: housekeeping re-broadcasts heal stragglers
 
     def _rebroadcast_maint(self) -> None:
         payload = self._maint_payload()
-        for part_id, (node, relay) in sorted(self._maint_targets().items()):
+        for node, relay in self._maint_targets():
             self.send(
                 node, ports.DB, ports.DB_MAINT,
                 dict(payload, relay=True) if relay else dict(payload),
@@ -672,14 +598,14 @@ class BulletinDaemon(ServiceDaemon):
 
     def _on_maint(self, msg: Message) -> dict[str, Any] | None:
         self.kernel.view_maintenance = True
-        if msg.payload.get("relay") and self.kernel.regions_enabled:
-            # Two-tier federation: the sender only reached this region's
-            # aggregator — re-relay the config into the local mesh (one
-            # hop only; the relayed copy drops the flag).
+        if msg.payload.get("relay"):
+            # The sender only reached this region's aggregator: re-relay
+            # the config into the region mesh (one hop only; the relayed
+            # copy drops the flag).
             relayed = {k: v for k, v in msg.payload.items() if k != "relay"}
             locations = self.kernel.db_locations()
-            for part_id in self.kernel.region_partitions(self.partition_id):
-                if part_id != self.partition_id and part_id in locations:
+            for part_id in self.kernel.federation_peers(self.partition_id, remote=False):
+                if part_id in locations:
                     self.send(locations[part_id], ports.DB, ports.DB_MAINT, dict(relayed))
         for name, part_id in (msg.payload.get("views") or {}).items():
             self.kernel.view_owners[name] = part_id
@@ -769,6 +695,7 @@ class BulletinDaemon(ServiceDaemon):
             return
         config = reply.get("data") or {}
         self._publish_tables |= set(config.get("tables", ()))
+        self.spawn(self._announce_epoch(), name=f"{self.node_id}/db.announce")
         view_defs = config.get("views") or []
         if not view_defs:
             return
@@ -798,3 +725,31 @@ class BulletinDaemon(ServiceDaemon):
             "db.views_rebuilt", node=self.node_id, views=len(self.engine.views)
         )
         yield from self._broadcast_maint()
+
+    def _announce_epoch(self):
+        """Announce this incarnation's ``(epoch, delta_seq)`` for every
+        published table as an empty ``db.delta_digest`` (its seq range
+        covers no deltas).  A view owner still holding a predecessor's
+        epoch for the source resyncs the slice; without this, rows the
+        predecessor held would stay in every view for good when the
+        failed-over partition never writes that table again.
+
+        The partition's event service may be failing over alongside us,
+        so each announcement is retried until an instance acks it (a
+        repeated announcement is merely stale at the owner)."""
+        for table in sorted(self._publish_tables):
+            reply = None
+            while reply is None:
+                es_node = self.kernel.placement.get(("es", self.partition_id))
+                if es_node is not None:
+                    seq = self.delta_seq(table)
+                    reply = yield self.rpc_retry(es_node, ports.ES, ports.ES_PUBLISH, {
+                        "type": DB_DELTA_DIGEST,
+                        "data": {
+                            "table": table, "partition": self.partition_id,
+                            "epoch": self.epoch, "seq_lo": seq + 1, "seq_hi": seq,
+                            "deltas": [], "t": self.sim.now,
+                        },
+                    })
+                if reply is None:
+                    yield self.timings.detector_interval

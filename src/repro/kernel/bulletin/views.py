@@ -292,10 +292,11 @@ class ViewEngine:
         self._admit(delta, now)
 
     def on_delta_digest(self, digest: dict[str, Any], now: float) -> None:
-        """Entry point for one ``db.delta_digest`` payload (two-tier
-        federation): a contiguous ``[seq_lo, seq_hi]`` slice of one
-        source's delta stream, carrying the per-key latest delta only.
-        Shares the plain feed's buffering/resync discipline."""
+        """Entry point for one ``db.delta_digest`` payload: a contiguous
+        ``[seq_lo, seq_hi]`` slice of one source's delta stream, carrying
+        the per-key latest delta only (an empty slice is a restarted
+        source announcing its epoch).  Shares the plain feed's
+        buffering/resync discipline."""
         table = digest.get("table", "")
         if table not in self.tables():
             return

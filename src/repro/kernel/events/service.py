@@ -130,19 +130,13 @@ class EventServiceDaemon(ServiceDaemon):
                 if restored:
                     self._arm_flush()
         # Tell peers (their peer table may point at a dead node after
-        # migration).  Two-tier mode announces along federation edges only
-        # — the intra-region mesh plus the aggregator overlay — instead of
-        # the O(P) complete graph.
+        # migration) — along federation edges only: the region mesh plus
+        # the other regions' aggregators.
         locations = self.kernel.es_locations()
-        if self.kernel.regions_enabled:
-            announce = set(self.kernel.region_partitions(self.partition_id))
-            announce.update(self.kernel.remote_aggregators(self.partition_id))
-            announce.discard(self.partition_id)
-            targets = {pid: locations[pid] for pid in sorted(announce) if pid in locations}
-        else:
-            targets = {pid: node for pid, node in locations.items() if pid != self.partition_id}
-        for part_id, peer in targets.items():
-            self.send(peer, ports.ES, ports.ES_PEERS, {"partition": self.partition_id, "node": self.node_id})
+        for part_id in self.kernel.federation_peers(self.partition_id):
+            if part_id in locations:
+                self.send(locations[part_id], ports.ES, ports.ES_PEERS,
+                          {"partition": self.partition_id, "node": self.node_id})
 
     # -- message dispatch ----------------------------------------------------
     def _dispatch(self, msg: Message) -> dict[str, Any] | None:
@@ -214,24 +208,18 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": True, "event_id": event.event_id}
 
     def _federation_peers(self) -> list[str]:
-        """Peers this instance forwards its own publishes to.
-
-        Flat federation: every other placed instance (complete graph).
-        Two-tier (DESIGN.md §16): the instance's intra-region mesh, plus —
-        when this partition is its region's elected aggregator — every
-        other region's aggregator.
-        """
-        locations = self.kernel.es_locations()
-        if not self.kernel.regions_enabled:
-            return [pid for pid in locations if pid != self.partition_id]
-        region = self.kernel.region_partitions(self.partition_id)
-        peers = [pid for pid in region if pid != self.partition_id and pid in locations]
-        if self.kernel.is_aggregator(self.partition_id):
-            peers.extend(
-                pid for pid in self.kernel.remote_aggregators(self.partition_id)
-                if pid in locations
+        """Placed peers this instance forwards its own publishes to: its
+        region mesh, plus — when this partition is its region's elected
+        aggregator — every other region's aggregator (DESIGN.md §16)."""
+        kernel = self.kernel
+        placement = kernel.placement
+        return [
+            pid
+            for pid in kernel.federation_peers(
+                self.partition_id, remote=kernel.is_aggregator(self.partition_id)
             )
-        return peers
+            if ("es", pid) in placement
+        ]
 
     def _on_forward_batch(self, msg: Message) -> dict[str, Any]:
         origin = str(msg.payload.get("origin", ""))
@@ -243,7 +231,7 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": True, "accepted": accepted}
 
     def _relay_forward(self, event: Event, origin_part: str) -> None:
-        """Two-tier relay rules, applied on first acceptance of a forward.
+        """Region relay rules, applied on first acceptance of a forward.
 
         *Ingress*: a batch arriving from another region (necessarily via
         an aggregator funnel) is fanned out to this region's mesh, so
@@ -254,28 +242,28 @@ class EventServiceDaemon(ServiceDaemon):
         aggregator.  Both decisions are taken receiver-side from the
         batch's origin partition, so they stay correct across aggregator
         handovers mid-stream; duplicate suppression absorbs any overlap
-        when old and new aggregators race during a handover.
+        when old and new aggregators race during a handover.  In a flat
+        cluster neither rule ever fires: there is no other region and no
+        aggregator.
         """
         kernel = self.kernel
-        if not kernel.regions_enabled or not origin_part:
+        if not origin_part:
             return
         my_region = kernel.region_of(self.partition_id)
-        locations = kernel.es_locations()
         if kernel.region_of(origin_part) != my_region:
-            payload = event.to_payload()
-            for pid in kernel.region_partitions(self.partition_id):
-                if pid != self.partition_id and pid in locations:
-                    self._enqueue_forward(pid, payload)
-            self._arm_flush()
+            targets = kernel.federation_peers(self.partition_id, remote=False)
         elif (
             kernel.region_of(event.partition) == my_region
             and kernel.is_aggregator(self.partition_id)
         ):
-            payload = event.to_payload()
-            for pid in kernel.remote_aggregators(self.partition_id):
-                if pid in locations:
-                    self._enqueue_forward(pid, payload)
-            self._arm_flush()
+            targets = kernel.remote_aggregators(self.partition_id)
+        else:
+            return
+        payload = event.to_payload()
+        for pid in targets:
+            if ("es", pid) in kernel.placement:
+                self._enqueue_forward(pid, payload)
+        self._arm_flush()
 
     def _accept_forward(self, event: Event) -> bool:
         """Deliver one federated event, suppressing re-received duplicates
@@ -350,9 +338,7 @@ class EventServiceDaemon(ServiceDaemon):
     def _cross_region(self, part_id: str) -> bool:
         """Does the hop to ``part_id`` cross a region boundary?"""
         kernel = self.kernel
-        return kernel.regions_enabled and (
-            kernel.region_of(part_id) != kernel.region_of(self.partition_id)
-        )
+        return kernel.region_of(part_id) != kernel.region_of(self.partition_id)
 
     def _send_batch(self, part_id: str, batch: list[dict[str, Any]]):
         span = self.sim.trace.span(
@@ -414,13 +400,11 @@ class EventServiceDaemon(ServiceDaemon):
                           batch_to_payload(self.partition_id, batch))
 
     def _count_tier(self, part_id: str, events: int) -> None:
-        """Intra/cross-region breakdown of federation traffic (two-tier
-        mode only, so flat-mode counter sets stay byte-identical)."""
-        if not self.kernel.regions_enabled:
-            return
-        tier = "cross" if self._cross_region(part_id) else "intra"
-        self.sim.trace.count(f"es.forward_batches_{tier}")
-        self.sim.trace.count(f"es.forward_batched_events_{tier}", events)
+        """Cross-region share of federation traffic (the intra-region
+        share is the ``es.forward_batches`` total minus this)."""
+        if self._cross_region(part_id):
+            self.sim.trace.count("es.forward_batches_cross")
+            self.sim.trace.count("es.forward_batched_events_cross", events)
 
     # -- internals -----------------------------------------------------------
     def _deliver_local(self, event: Event) -> None:

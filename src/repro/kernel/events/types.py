@@ -33,10 +33,11 @@ CONFIG_CHANGED = "config.changed"
 #: materialized view is registered (see :mod:`repro.kernel.bulletin.views`).
 DB_DELTA = "db.delta"
 #: A contiguous run of ``db.delta`` events coalesced per ``(table, key)``
-#: for cross-region federation (two-tier mode, DESIGN.md §16).  Carries
-#: the covered ``[seq_lo, seq_hi]`` range plus the per-key latest delta
-#: of the run, so view owners advance their watermark across the whole
-#: range in one step.
+#: for a cross-region hop (DESIGN.md §16).  Carries the covered
+#: ``[seq_lo, seq_hi]`` range plus the per-key latest delta of the run,
+#: so view owners advance their watermark across the whole range in one
+#: step.  An empty range (``seq_lo = seq_hi + 1``, no deltas) is a
+#: restarted bulletin announcing its new epoch.
 DB_DELTA_DIGEST = "db.delta_digest"
 
 ALL_TYPES = (

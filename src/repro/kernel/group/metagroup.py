@@ -52,8 +52,8 @@ partitions that ack within ``regroup_timeout``:
   checkpoint replica the minority hosted).
 
 Census acks carry the responder's view, so the first post-heal round
-doubles as anti-entropy.  ``quorum_demotion=False`` restores the
-pre-quorum behavior (demote only when the view empties entirely).
+doubles as anti-entropy.  A single-partition cluster has no one to
+regroup with, so the census is off there.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class MetaGroup:
 
     # -- quorum-gated regroup (DESIGN.md §15) -----------------------------
     def quorum_enabled(self) -> bool:
-        return self.gsd.timings.quorum_demotion and len(self.gsd.cluster.partitions) > 1
+        return len(self.gsd.cluster.partitions) > 1
 
     def tie_break_partition(self) -> str:
         """The MCS tie-breaker: on an exact-half split, only the side
@@ -488,9 +488,9 @@ class MetaGroup:
             "view.installed", node=self.me, view_id=view.view_id, epoch=view.epoch,
             members=len(view.members),
         )
-        # Two-tier federation (DESIGN.md §16): every adopted view refreshes
-        # the host-side region-aggregator map (epoch-fenced, no-op in flat
-        # mode) so aggregator handover rides the existing view machinery.
+        # Federation regions (DESIGN.md §16): every adopted view refreshes
+        # the host-side region-aggregator map (epoch-fenced, no-op with a
+        # single region) so aggregator handover rides the view machinery.
         self.gsd.kernel.note_view(view)
         if was_leader and not self.is_leader:
             # A higher-epoch view dethroned us (we were the stale side of

@@ -15,7 +15,8 @@ node-metric sampling and identical across topologies by construction —
 any divergence is a federation bug, not workload noise.
 """
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
@@ -113,6 +114,7 @@ def _run_scenario(seed, actions, region_size, probe=False):
     seed=st.integers(0, 2**16),
     actions=st.lists(st.sampled_from(_ACTIONS), min_size=2, max_size=5),
 )
+@example(seed=0, actions=["put", "put", "agg_crash"])
 def test_two_tier_view_contents_equal_flat_reference(seed, actions):
     flat = _run_scenario(seed, actions, region_size=None)
     two_tier = _run_scenario(seed, actions, region_size=2)
@@ -129,3 +131,12 @@ def test_aggregator_failover_mid_stream_converges():
                          region_size=2, probe=True)
     phases = {r["phase"]: r["n"] for r in rows}
     assert phases.get("late") == 1, rows
+
+
+@pytest.mark.parametrize("region_size", [None, 2])
+def test_silent_failover_retracts_rows_the_successor_lost(region_size):
+    """The failed-over partition never writes the table again, so no
+    later delta can expose the new bulletin epoch: the successor's epoch
+    announcement alone must make the owner drop the lost row."""
+    rows = _run_scenario(0, ["put", "put", "agg_crash"], region_size=region_size)
+    assert rows == []

@@ -61,21 +61,29 @@ def test_spec_region_size_validated():
 
 def test_aggregator_election_first_present_per_region():
     sim, cluster, kernel = boot_two_tier(until=30.0)
-    assert kernel.regions_enabled
+    assert len(kernel.regions) == 3
     assert kernel.region_aggregators == {0: "p0", 1: "p2", 2: "p4"}
     assert kernel.is_aggregator("p2") and not kernel.is_aggregator("p3")
     assert kernel.region_partitions("p3") == ("p2", "p3")
     assert kernel.remote_aggregators("p2") == ["p0", "p4"]
+    # One peer set, in configured partition order: the region mesh plus
+    # the other regions' aggregators.
+    assert kernel.federation_peers("p3") == ["p0", "p2", "p4"]
+    assert kernel.federation_peers("p3", remote=False) == ["p2"]
 
 
 def test_flat_mode_has_no_aggregators():
     sim = Simulator(seed=11)
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
     kernel = PhoenixKernel(cluster)
-    assert not kernel.regions_enabled
+    kernel.boot()
+    sim.run(until=30.0)
+    assert kernel.regions == (("p0", "p1", "p2"),)
     assert kernel.region_aggregators == {}
+    assert sim.trace.records("region.aggregator") == []
     assert not kernel.is_aggregator("p0")
     assert kernel.remote_aggregators("p0") == []
+    assert kernel.federation_peers("p1") == ["p0", "p2"]
 
 
 def test_aggregator_election_is_epoch_fenced():
@@ -163,6 +171,21 @@ def test_digest_separates_streams_and_passes_foreign_events():
     assert out[2]["data"]["table"] == "jobs"
 
 
+def test_digest_passes_epoch_announcement_through():
+    """A restarted bulletin's epoch announcement (an empty digest) must
+    cross a region hop verbatim and in place, between delta runs."""
+    announce = {
+        "event_id": "a1", "type": ev.DB_DELTA_DIGEST, "source": "p0b0", "partition": "p0",
+        "time": 0.0, "span": "",
+        "data": {"table": "nodes", "partition": "p0", "epoch": 2,
+                 "seq_lo": 1, "seq_hi": 0, "deltas": [], "t": 0.0},
+    }
+    batch = [_delta(1, "a", 1, epoch=2), announce, _delta(2, "a", 2, epoch=2)]
+    out = digest_batch(batch)
+    assert out[0] is announce
+    assert out[1]["type"] == ev.DB_DELTA_DIGEST and out[1]["data"]["seq_hi"] == 2
+
+
 def test_digest_is_idempotent_on_digests():
     once = digest_batch([_delta(1, "a", 1), _delta(2, "a", 2)])
     assert digest_batch(list(once)) == once
@@ -182,7 +205,7 @@ def test_cross_region_event_delivered_once_via_aggregators():
     sim.run(until=sim.now + 5.0)
     assert [e.data["app"] for e in inbox] == ["x"]
     assert sim.trace.counter("es.forward_batches_cross") > 0
-    assert sim.trace.counter("es.forward_batches_intra") > 0
+    assert sim.trace.counter("es.forward_batches") > sim.trace.counter("es.forward_batches_cross")
 
 
 def test_non_aggregator_partitions_open_no_cross_region_streams():
